@@ -5,18 +5,17 @@ paper's scale and of its building blocks, so regressions in the hot paths
 (routing, greedy pricing, overflow sweeps) are caught by
 ``pytest benchmarks/ --benchmark-only``.
 
-Also runs standalone as the parallel-scheduling speedup report::
+Also runs standalone as the Phase-1 timing and cache report::
 
     PYTHONPATH=src python benchmarks/bench_scheduler_perf.py [--quick]
-        [--videos N] [--workers N] [--backends thread,process]
-        [--json-out BENCH_phase1.json]
+        [--videos N] [--json-out BENCH_phase1.json]
 
-which times Phase 1 serially and on each parallel backend over a 500-video
-batch (``--quick``: 60 videos), verifies every run is bit-identical to the
-serial schedule, and reports speedups plus cost-cache hit rates.
+which times Phase 1 with and without the cost-evaluation cache over a
+500-video batch (``--quick``: 60 videos), verifies the cache leaves the
+schedule bit-identical, and reports the cache win plus hit rates.
 ``--json-out`` additionally writes the whole report as machine-readable
-JSON (per-backend wall time, speedup, cache hit rate, schedule Ψ) so CI
-can archive it as an artifact and diff runs over time.
+JSON (Phase-1 wall time, cache hit rate, schedule Ψ) so CI can archive it
+as an artifact and diff runs over time.
 
 ``--compare BASELINE.json`` checks the run against a committed baseline
 report (see ``benchmarks/BENCH_phase1.json``): the deterministic outputs
@@ -62,8 +61,6 @@ import pytest
 from repro import (
     CostModel,
     IndividualScheduler,
-    ParallelConfig,
-    ParallelIndividualScheduler,
     VideoScheduler,
     WorkloadGenerator,
     paper_catalog,
@@ -108,15 +105,6 @@ def test_bench_phase1_uncached(benchmark, env):
     assert len(schedule.deliveries) == len(batch)
 
 
-def test_bench_phase1_process_pool(benchmark, env):
-    topo, catalog, batch = env
-    engine = ParallelIndividualScheduler(
-        CostModel(topo, catalog), ParallelConfig(backend="process", workers=2)
-    )
-    result = benchmark(lambda: engine.run(batch))
-    assert len(result.schedule.deliveries) == len(batch)
-
-
 def test_bench_overflow_detection(benchmark, env):
     topo, catalog, batch = env
     cm = CostModel(topo, catalog)
@@ -133,11 +121,11 @@ def test_bench_usage_timeline_sweep(benchmark):
     assert tl.peak > 0
 
 
-# -- standalone speedup report ------------------------------------------------
+# -- standalone report -----------------------------------------------------------
 
 
 #: Baseline keys that must match bit-for-bit: pure functions of the seeded
-#: workload, independent of machine and backend.
+#: workload, independent of the machine.
 _DETERMINISTIC_SOLVE_KEYS = (
     "psi_total_dollars",
     "psi_network_dollars",
@@ -295,7 +283,7 @@ def _time_sorp(topo, catalog, batch, repeats):
     iterations = 0
     for _ in range(repeats):
         cm = CostModel(topo, catalog)
-        phase1 = ParallelIndividualScheduler(cm).run(batch).schedule
+        phase1 = IndividualScheduler(cm).solve(batch)
         t0 = time.perf_counter()
         _, stats = resolve_overflows(phase1, batch, cm)
         best = min(best, time.perf_counter() - t0)
@@ -550,34 +538,26 @@ def _gateway_drill():
     }
 
 
-def _time_phase1(topo, catalog, batch, config, repeats):
-    """Best-of-N wall time of one Phase-1 run plus its result."""
+def _time_phase1(topo, catalog, batch, repeats, *, cache=True):
+    """Best-of-N wall time of one Phase-1 run on a fresh model, plus its schedule."""
     best = float("inf")
-    result = None
+    schedule = None
     for _ in range(repeats):
-        engine = ParallelIndividualScheduler(CostModel(topo, catalog), config)
+        greedy = IndividualScheduler(CostModel(topo, catalog, cache=cache))
         t0 = time.perf_counter()
-        result = engine.run(batch)
+        schedule = greedy.solve(batch)
         best = min(best, time.perf_counter() - t0)
-    return best, result
+    return best, schedule
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
-        description="Serial-vs-parallel Phase-1 speedup and cache report"
+        description="Phase-1 timing and cost-cache report"
     )
     parser.add_argument(
         "--quick", action="store_true", help="60-video smoke run (CI-sized)"
     )
     parser.add_argument("--videos", type=int, default=None, help="catalog size")
-    parser.add_argument(
-        "--workers", type=int, default=8, help="pool size (default 8)"
-    )
-    parser.add_argument(
-        "--backends",
-        default="thread,process",
-        help="comma-separated parallel backends to time",
-    )
     parser.add_argument(
         "--repeats", type=int, default=None, help="best-of-N timing (default 3/1)"
     )
@@ -599,45 +579,25 @@ def main(argv=None) -> int:
     n_videos = args.videos if args.videos else (60 if args.quick else 500)
     users = 4 if args.quick else 10
     repeats = args.repeats if args.repeats else (1 if args.quick else 3)
-    backends = [b.strip() for b in args.backends.split(",") if b.strip()]
-    unknown = [b for b in backends if b not in ("thread", "process")]
-    if unknown:
-        parser.error(f"--backends must be thread and/or process, got {unknown}")
 
     topo, catalog, batch = _build_env(n_videos, users)
     print(
-        f"Phase-1 speedup report: {n_videos} videos, {len(batch)} requests, "
-        f"{args.workers} workers, best of {repeats}"
+        f"Phase-1 report: {n_videos} videos, {len(batch)} requests, "
+        f"best of {repeats}"
     )
 
-    serial_t, serial = _time_phase1(
-        topo, catalog, batch, ParallelConfig(), repeats
+    phase1_t, schedule = _time_phase1(topo, catalog, batch, repeats)
+    uncached_t, uncached_schedule = _time_phase1(
+        topo, catalog, batch, 1, cache=False
     )
-    # time the uncached model separately for the cache-win line
-    t0 = time.perf_counter()
-    uncached_schedule = ParallelIndividualScheduler(
-        CostModel(topo, catalog, cache=False)
-    ).run(batch).schedule
-    uncached_t = time.perf_counter() - t0
-    assert uncached_schedule == serial.schedule, "cache changed the schedule!"
+    assert uncached_schedule == schedule, "cache changed the schedule!"
 
     # cache hit rate of a full two-phase solve (greedy + SORP repricing)
     solve = VideoScheduler(topo, catalog).solve(batch)
 
-    rows = [("serial", serial_t, 1.0, solve.cache_hit_rate)]
-    for backend in backends:
-        cfg = ParallelConfig(backend=backend, workers=args.workers)
-        t, result = _time_phase1(topo, catalog, batch, cfg, repeats)
-        assert result.schedule == serial.schedule, f"{backend} diverged!"
-        par_solve = VideoScheduler(topo, catalog, parallel=cfg).solve(batch)
-        rows.append((backend, t, serial_t / t, par_solve.cache_hit_rate))
-
-    print(f"\n{'backend':<10} {'time (s)':>10} {'speedup':>9} {'cache hit':>10}")
-    for name, t, speedup, hit_rate in rows:
-        print(f"{name:<10} {t:>10.3f} {speedup:>8.2f}x {100 * hit_rate:>9.1f}%")
     print(
-        f"\nuncached serial Phase 1: {uncached_t:.3f}s "
-        f"(cache win {uncached_t / serial_t:.2f}x); all backends bit-identical"
+        f"\nPhase 1: {phase1_t:.3f}s cached, {uncached_t:.3f}s uncached "
+        f"(cache win {uncached_t / phase1_t:.2f}x, schedules bit-identical)"
     )
     print(
         f"full solve cache: {solve.cache_stats.hits}/"
@@ -695,22 +655,13 @@ def main(argv=None) -> int:
                 "n_videos": n_videos,
                 "n_requests": len(batch),
                 "users_per_neighborhood": users,
-                "workers": args.workers,
                 "repeats": repeats,
                 "quick": args.quick,
             },
-            "backends": [
-                {
-                    "backend": name,
-                    "wall_time_seconds": t,
-                    "speedup": speedup,
-                    "cache_hit_rate": hit_rate,
-                }
-                for name, t, speedup, hit_rate in rows
-            ],
+            "phase1": {"wall_time_seconds": phase1_t},
             "uncached": {
                 "wall_time_seconds": uncached_t,
-                "cache_win": uncached_t / serial_t,
+                "cache_win": uncached_t / phase1_t,
             },
             "solve": {
                 "psi_total_dollars": solve.total_cost,

@@ -35,9 +35,6 @@ from repro.core import (
     HeatMetric,
     IndividualScheduler,
     OverflowSituation,
-    ParallelConfig,
-    ParallelIndividualScheduler,
-    Phase1Result,
     ResidencyInfo,
     ResolutionStats,
     Schedule,
@@ -142,9 +139,6 @@ __all__ = [
     "HeatMetric",
     "IndividualScheduler",
     "OverflowSituation",
-    "ParallelConfig",
-    "ParallelIndividualScheduler",
-    "Phase1Result",
     "ResidencyInfo",
     "ResolutionStats",
     "Schedule",

@@ -38,7 +38,7 @@ class CacheStats:
     """Hit/miss counters of the memoized cost-evaluation cache.
 
     Instances are immutable snapshots; subtract two snapshots to get the
-    activity between them, add several to aggregate across workers.
+    activity between them, add several to aggregate across runs.
     """
 
     hits: int = 0
@@ -69,7 +69,7 @@ class CacheStatsDetail:
     ``psi_c`` covers the Eq. 2/3 storage-cost cache, ``psi_d`` the
     per-route network-rate cache.  Lookup *totals* per cache are
     deterministic for a seeded batch (they count Ψ evaluations); the
-    hit/miss split depends on cache temperature and worker layout.
+    hit/miss split depends on cache temperature.
     """
 
     psi_c: CacheStats = CacheStats()
@@ -79,9 +79,6 @@ class CacheStatsDetail:
     def combined(self) -> CacheStats:
         return self.psi_c + self.psi_d
 
-    def __add__(self, other: "CacheStatsDetail") -> "CacheStatsDetail":
-        return CacheStatsDetail(self.psi_c + other.psi_c, self.psi_d + other.psi_d)
-
     def __sub__(self, other: "CacheStatsDetail") -> "CacheStatsDetail":
         return CacheStatsDetail(self.psi_c - other.psi_c, self.psi_d - other.psi_d)
 
@@ -90,10 +87,10 @@ def record_cache_metrics(metrics, detail: CacheStatsDetail, *, phase: str) -> No
     """Fold cache counters into a metrics registry under a phase label.
 
     Ψ *evaluation* totals (``hits + misses`` per cache) are deterministic
-    for a seeded batch -- the greedy performs the same pricing sequence on
-    every backend -- so they register as comparable counters; the
-    hit/miss split depends on cache temperature and worker layout and is
-    flagged ``deterministic=False``.
+    for a seeded batch -- the greedy always performs the same pricing
+    sequence -- so they register as comparable counters; the hit/miss
+    split depends on cache temperature and is flagged
+    ``deterministic=False``.
     """
     if not metrics.enabled:
         return
@@ -153,19 +150,17 @@ class CostModel:
         replicas: Optional :class:`~repro.replication.ReplicaMap` naming the
             home warehouses of each video.  Pricing is unaffected -- the map
             rides on the model so every scheduler built over it (Phase-1
-            greedy, SORP's rejective greedy, contingency re-solves, thread
-            worker views, pickled process-pool workers) restricts warehouse
-            candidates to the same homes.  ``None`` means every warehouse
+            greedy, SORP's rejective greedy, contingency re-solves, clones
+            from :meth:`worker_view`) restricts warehouse candidates to the
+            same homes.  ``None`` means every warehouse
             holds every video (the single-warehouse paper model).
 
     The cache is transparent to subclasses: :meth:`network_multiplier` is
     applied *outside* the cached route rate, so time-of-day tariffs stay
-    exact.  Instances may be shared across threads -- dict reads/writes are
-    atomic under the GIL and entries are immutable once stored.  The
-    hit/miss counters would undercount under concurrent mutation, which is
-    why the thread-backend Phase-1 engine gives each shard its own
-    :meth:`worker_view` (shared caches, private counters): every backend
-    reports exact per-shard statistics.
+    exact.  Clones (:meth:`with_replicas`, :meth:`worker_view`) share the
+    memoized values -- entries are immutable once stored -- but count
+    their own hits and misses, so a caller can attribute cache activity
+    to the clone it solved through.
     """
 
     def __init__(
@@ -214,19 +209,6 @@ class CostModel:
         """The :class:`~repro.replication.ReplicaMap`, or ``None``."""
         return self._replicas
 
-    def __getstate__(self) -> dict:
-        # Pickled models (shipped to process-pool workers) start with cold
-        # caches: memoized values are pure recomputables and the counters
-        # belong to the sending process.
-        state = self.__dict__.copy()
-        state["_psi_c_cache"] = {}
-        state["_psi_d_cache"] = {}
-        state["_c_hits"] = 0
-        state["_c_misses"] = 0
-        state["_d_hits"] = 0
-        state["_d_misses"] = 0
-        return state
-
     def with_replicas(self, replicas) -> "CostModel":
         """A clone of this model carrying a different replica map.
 
@@ -248,11 +230,12 @@ class CostModel:
     def worker_view(self) -> "CostModel":
         """A clone sharing this model's memoized caches with fresh counters.
 
-        Thread-backend shards each solve through their own view, so
-        per-shard hit/miss activity is attributable exactly (the shared
-        counters would otherwise interleave); cached *values* stay
-        shared, preserving the warm-cache win.  Subclasses (e.g. diurnal
-        tariffs) are preserved by the shallow copy.
+        A solve through the view starts warm -- every value the original
+        has memoized is a hit -- while its hit/miss counters record only
+        the view's own lookups and leave the original's untouched.  The
+        horizon migration planner prices its what-if trial solves this
+        way.  Subclasses (e.g. diurnal tariffs) are preserved by the
+        shallow copy.
         """
         view = copy.copy(self)
         view._c_hits = 0

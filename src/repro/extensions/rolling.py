@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 from repro.catalog.catalog import VideoCatalog
 from repro.core.costmodel import CostBreakdown, CostModel
 from repro.core.heat import HeatMetric
-from repro.core.parallel import ParallelConfig, ParallelIndividualScheduler
+from repro.core.individual import IndividualScheduler
 from repro.core.schedule import ResidencyInfo, Schedule
 from repro.core.scheduler import record_schedule_metrics
 from repro.core.sorp import ResolutionStats, resolve_overflows
@@ -82,7 +82,6 @@ class RollingScheduler:
         *,
         heat_metric: HeatMetric = HeatMetric.SPACE_TIME_PER_COST,
         cost_model: CostModel | None = None,
-        parallel: ParallelConfig | None = None,
         obs: Observability | None = None,
         replicas=None,
     ):
@@ -101,9 +100,6 @@ class RollingScheduler:
             else CostModel(topology, catalog, replicas=replicas)
         )
         self.obs = obs if obs is not None else NULL_OBS
-        self._engine = ParallelIndividualScheduler(
-            self.cost_model, parallel, obs=self.obs
-        )
         #: committed residencies whose occupancy outlives their cycle
         self._carryover: dict[str, list[ResidencyInfo]] = {}
         self._cycle_index = 0
@@ -153,7 +149,9 @@ class RollingScheduler:
                 video_id: tuple(self._carryover.get(video_id, ()))
                 for video_id in batch.video_ids
             }
-            schedule = self._engine.run(batch, self.catalog, seeds=seeds).schedule
+            schedule = IndividualScheduler(self.cost_model, obs=self.obs).solve(
+                batch, self.catalog, seeds=seeds
+            )
             background: dict[str, list[SpaceProfile]] = {}
             for video_id, residencies in self._carryover.items():
                 if video_id in requested:
@@ -237,7 +235,7 @@ class RollingScheduler:
         """Swap the scheduling cost model between cycles.
 
         The carryover state, cycle numbering and boundary clock are
-        preserved -- only the model the Phase-1 engine and SORP price
+        preserved -- only the model the Phase-1 greedy and SORP price
         against changes.  This is the replica-migration hook: the horizon
         layer rebinds a model carrying the migrated
         :class:`~repro.replication.ReplicaMap` and the next
@@ -245,9 +243,6 @@ class RollingScheduler:
         """
         validate_topology(self.topology, replicas=cost_model.replicas)
         self.cost_model = cost_model
-        self._engine = ParallelIndividualScheduler(
-            cost_model, self._engine.config, obs=self.obs
-        )
 
     def amend_cycle(self, result: CycleResult, plan, *, batch=None,
                     masking: str = "cycle"):
@@ -284,7 +279,6 @@ class RollingScheduler:
         contingency = ContingencyScheduler(
             self.cost_model,
             heat_metric=self.heat_metric,
-            parallel=self._engine.config,
             obs=self.obs,
             masking=masking,
         )

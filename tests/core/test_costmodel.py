@@ -9,6 +9,7 @@ from repro import (
     CostModel,
     DeliveryInfo,
     FileSchedule,
+    IndividualScheduler,
     Request,
     ResidencyInfo,
     Schedule,
@@ -210,3 +211,34 @@ class TestCostModelProperties:
         c2 = cm.residency_cost_for("v", "IS1", start, start + dur * 1.5 + 1.0)
         assert c1 >= 0.0
         assert c2 >= c1
+
+
+class TestClonesShareCaches:
+    """``worker_view``/``with_replicas`` clones share the memoized values."""
+
+    @pytest.fixture
+    def warm(self, fig2_cm, fig2_batch):
+        schedule = IndividualScheduler(fig2_cm).solve(fig2_batch)
+        cost = fig2_cm.schedule_cost(schedule)
+        assert fig2_cm._psi_c_cache and fig2_cm._psi_d_cache
+        return fig2_cm, schedule, cost
+
+    @pytest.mark.parametrize("clone_kind", ["worker_view", "with_replicas"])
+    def test_clone_shares_cache_dicts_with_fresh_counters(self, warm, clone_kind):
+        cm, schedule, cost = warm
+        clone = (
+            cm.worker_view()
+            if clone_kind == "worker_view"
+            else cm.with_replicas(cm.replicas)
+        )
+        assert clone._psi_c_cache is cm._psi_c_cache
+        assert clone._psi_d_cache is cm._psi_d_cache
+        assert clone.cache_stats.lookups == 0
+        original = cm.cache_stats_detail
+        # every key the original memoized answers as a hit on the clone
+        assert clone.schedule_cost(schedule) == cost
+        detail = clone.cache_stats_detail
+        assert detail.combined.misses == 0
+        assert detail.psi_c.hits > 0 and detail.psi_d.hits > 0
+        # the clone's lookups never touch the original's counters
+        assert cm.cache_stats_detail == original

@@ -7,10 +7,13 @@ from repro import (
     IndividualScheduler,
     Request,
     RequestBatch,
+    ResidencyInfo,
     Topology,
     VideoCatalog,
     VideoFile,
     chain_topology,
+    paper_catalog,
+    paper_topology,
     star_topology,
     units,
 )
@@ -185,6 +188,16 @@ class TestSolveBatch:
         served = sorted(d.request.user_id for d in schedule.deliveries)
         assert served == sorted(f"u{i}" for i in range(9))
 
+    def test_empty_batch(self):
+        _, _, cm = _env()
+        assert len(IndividualScheduler(cm).solve(RequestBatch())) == 0
+
+    def test_scheduler_internals_are_immutable(self):
+        _, _, cm = _env()
+        greedy = IndividualScheduler(cm)
+        assert isinstance(greedy._warehouses, tuple)
+        assert isinstance(greedy._storage_names, frozenset)
+
 
 class TestFig2Greedy:
     def test_beats_papers_hand_schedule(
@@ -199,3 +212,50 @@ class TestFig2Greedy:
         fs = IndividualScheduler(cm).solve(fig2_batch)
         assert cm.total(fs) <= 138.975 + 1e-9
         assert cm.total(fs) == pytest.approx(108.45)
+
+
+def _seeded_env(seed: int = 13):
+    """A paper-topology batch plus a zero-length carryover seed for one title."""
+    topo = paper_topology(
+        nrate=units.per_gb(500), srate=units.per_gb_hour(5), capacity=units.gb(5)
+    )
+    catalog = paper_catalog(n_videos=16, seed=seed)
+    videos = [v.video_id for v in catalog]
+    storages = [s.name for s in topo.storages]
+    batch = RequestBatch(
+        Request(
+            start_time=(i * 7919 % 86_400) + 0.5,
+            video_id=videos[i % len(videos)],
+            user_id=f"u{i}",
+            local_storage=storages[i * 5 % len(storages)],
+        )
+        for i in range(60)
+    )
+    video_id = batch.video_ids[0]
+    seed_res = ResidencyInfo(
+        video_id=video_id,
+        location=storages[0],
+        source=topo.warehouses[0].name,
+        t_start=0.0,
+        t_last=0.0,
+    )
+    return topo, catalog, batch, {video_id: (seed_res,)}
+
+
+class TestSolveSeeds:
+    def test_seeded_repeat_is_identical(self):
+        """A reused scheduler gives the same seeded schedule as a fresh one."""
+        topo, catalog, batch, seeds = _seeded_env()
+        greedy = IndividualScheduler(CostModel(topo, catalog))
+        first = greedy.solve(batch, seeds=seeds)
+        again = greedy.solve(batch, seeds=seeds)
+        fresh = IndividualScheduler(CostModel(topo, catalog)).solve(batch, seeds=seeds)
+        assert first == again == fresh
+
+    def test_seed_residencies_not_mutated(self):
+        """Phase 1 may extend copies of carryover seeds, never the originals."""
+        topo, catalog, batch, seeds = _seeded_env()
+        ((video_id, (seed,)),) = seeds.items()
+        IndividualScheduler(CostModel(topo, catalog)).solve(batch, seeds=seeds)
+        assert seeds[video_id] == (seed,)
+        assert seed.t_last == 0.0 and seed.service_list == ()

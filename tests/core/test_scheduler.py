@@ -1,5 +1,7 @@
 """End-to-end tests for the two-phase VideoScheduler facade."""
 
+import random
+
 import pytest
 
 from repro import (
@@ -17,6 +19,7 @@ from repro import (
     units,
 )
 from repro.errors import TopologyError
+from repro.extensions.rolling import RollingScheduler
 
 
 class TestFacade:
@@ -106,3 +109,128 @@ class TestPaperScale:
             for r in batch
         )
         assert res.total_cost <= direct_total + 1e-6
+
+
+def _random_batch(seed: int, *, n_videos: int = 16, n_requests: int = 60) -> tuple:
+    """A seeded random workload on the paper topology (scaled down)."""
+    topo = paper_topology(
+        nrate=units.per_gb(500),
+        srate=units.per_gb_hour(5),
+        capacity=units.gb(5),
+    )
+    catalog = paper_catalog(n_videos=n_videos, seed=seed)
+    rng = random.Random(seed)
+    storages = [s.name for s in topo.storages]
+    videos = list(catalog)
+    requests = [
+        Request(
+            start_time=rng.uniform(0.0, 24 * units.HOUR),
+            video_id=rng.choice(videos).video_id,
+            user_id=f"u{i}",
+            local_storage=rng.choice(storages),
+        )
+        for i in range(n_requests)
+    ]
+    return topo, catalog, RequestBatch(requests)
+
+
+@pytest.fixture(scope="module", params=(11, 23, 47))
+def workload(request):
+    return _random_batch(request.param)
+
+
+class TestCacheTransparency:
+    def test_cached_and_uncached_schedules_identical(self, workload):
+        topo, catalog, batch = workload
+        cached = VideoScheduler(topo, catalog).solve(batch)
+        uncached = VideoScheduler(
+            topo, catalog, cost_model=CostModel(topo, catalog, cache=False)
+        ).solve(batch)
+        assert cached.schedule == uncached.schedule
+        assert cached.total_cost == uncached.total_cost
+        assert uncached.cache_stats.lookups == 0
+        assert cached.cache_stats.lookups > 0
+        assert 0.0 <= cached.cache_hit_rate <= 1.0
+
+    def test_result_surfaces_cache_counters(self, workload):
+        topo, catalog, batch = workload
+        result = VideoScheduler(topo, catalog).solve(batch)
+        assert result.cache_stats.hits > 0
+        assert result.cache_stats.misses > 0
+        assert (
+            result.cache_stats.lookups
+            == result.cache_stats.hits + result.cache_stats.misses
+        )
+        # SORP's share of the activity is also reported
+        assert result.resolution.cache_stats.lookups >= 0
+
+
+class TestMutableStateRegressions:
+    """Hazards a reused scheduler would expose (audit findings)."""
+
+    def test_back_to_back_batches_on_one_scheduler(self):
+        """One VideoScheduler must give the same answers as fresh ones."""
+        topo, catalog, batch_a = _random_batch(5)
+        _, _, batch_b = _random_batch(5, n_requests=40)
+        reused = VideoScheduler(topo, catalog)
+        got_a, got_b = reused.solve(batch_a), reused.solve(batch_b)
+        want_a = VideoScheduler(topo, catalog).solve(batch_a)
+        want_b = VideoScheduler(topo, catalog).solve(batch_b)
+        assert got_a.schedule == want_a.schedule
+        assert got_b.schedule == want_b.schedule
+        assert got_a.total_cost == want_a.total_cost
+        assert got_b.total_cost == want_b.total_cost
+
+    def test_back_to_back_batches_on_one_cost_model(self):
+        """A warm shared cost model changes cache counters, not schedules."""
+        topo, catalog, batch_a = _random_batch(7)
+        _, _, batch_b = _random_batch(7, n_requests=30)
+        reused = VideoScheduler(topo, catalog)
+        got_a, got_b = reused.solve(batch_a), reused.solve(batch_b)
+        want_b = VideoScheduler(topo, catalog).solve(batch_b)
+        assert got_b.schedule == want_b.schedule
+        assert got_b.phase1_cost == want_b.phase1_cost
+        assert got_b.resolution == want_b.resolution
+        # per-solve counters: each result reports its own lookups only
+        assert got_b.cache_stats.lookups == want_b.cache_stats.lookups
+        assert got_b.cache_stats.hits >= want_b.cache_stats.hits
+        assert reused.cost_model.cache_stats == got_a.cache_stats + got_b.cache_stats
+
+    def test_solve_does_not_mutate_batch(self):
+        topo, catalog, batch = _random_batch(9)
+        before = list(batch)
+        by_video_before = {k: list(v) for k, v in batch.by_video().items()}
+        VideoScheduler(topo, catalog).solve(batch)
+        assert list(batch) == before
+        assert {k: list(v) for k, v in batch.by_video().items()} == by_video_before
+
+    def test_rolling_cycles_repeat_identically(self, workload):
+        """Seeded carryover cycles replay bit-identically on a fresh scheduler."""
+        topo, catalog, _ = workload
+        gen = WorkloadGenerator(topo, catalog, users_per_neighborhood=4)
+        batches = [gen.generate(seed=s) for s in (1, 2)]
+
+        def run():
+            rolling = RollingScheduler(topo, catalog)
+            out = []
+            for i, b in enumerate(batches):
+                shifted = RequestBatch(
+                    Request(
+                        r.start_time + i * units.DAY,
+                        r.video_id,
+                        r.user_id,
+                        r.local_storage,
+                    )
+                    for r in b
+                )
+                out.append(
+                    rolling.schedule_cycle(shifted, cycle_end=(i + 1) * units.DAY)
+                )
+            return out
+
+        first, again = run(), run()
+        assert first[1].carried_in > 0
+        for got, want in zip(again, first):
+            assert got.schedule == want.schedule
+            assert got.cost == want.cost
+            assert got.resolution == want.resolution

@@ -12,7 +12,6 @@ from repro import (
     FaultKind,
     FaultPlan,
     FaultSpec,
-    ParallelConfig,
     Topology,
     VideoCatalog,
     VideoFile,
@@ -167,21 +166,6 @@ class TestRecover:
         implicit = ContingencyScheduler(cm).recover(schedule, plan)
         assert implicit.schedule == explicit.schedule
         assert implicit.saved == explicit.saved
-
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_recovery_bit_identical_across_backends(self, env, backend):
-        topo, catalog, batch, schedule = env
-        cm = CostModel(topo, catalog)
-        plan = _window_plan(FaultKind.LINK_DOWN, ("IS1", "IS2"))
-        serial = ContingencyScheduler(cm).recover(schedule, plan, batch=batch)
-        parallel = ContingencyScheduler(
-            cm, parallel=ParallelConfig(backend=backend, workers=2)
-        ).recover(schedule, plan, batch=batch)
-        assert parallel.schedule == serial.schedule
-        assert parallel.saved == serial.saved
-        assert parallel.lost == serial.lost
-        assert parallel.cost_after.total == serial.cost_after.total
-        assert parallel.backend == backend
 
     def test_json_dict_round_trips(self, env):
         import json

@@ -3,10 +3,10 @@
 The acceptance contract of the obs layer:
 
 * a live handle never changes a bit of any schedule;
-* deterministic metric families and span counts are identical across the
-  serial/thread/process Phase-1 backends for a seeded batch;
-* metrics merged from process workers equal the serial run counter-exact
-  and histogram-bucket-exact.
+* deterministic metric families and span counts replay exactly for a
+  seeded batch;
+* the per-phase Ψ-evaluation counters add up to the solve's cache
+  activity.
 """
 
 import json
@@ -15,7 +15,6 @@ import pytest
 
 from repro import (
     Observability,
-    ParallelConfig,
     VideoScheduler,
     VORService,
     WorkloadGenerator,
@@ -24,7 +23,6 @@ from repro import (
     units,
 )
 from repro.core.costmodel import CostModel
-from repro.core.parallel import ParallelIndividualScheduler
 from repro.sim.engine import SimulationEngine
 
 
@@ -42,16 +40,9 @@ def env():
     return topo, catalog, batch
 
 
-def _solve(env, *, obs=None, backend="serial", workers=2):
+def _solve(env, *, obs=None):
     topo, catalog, batch = env
-    parallel = (
-        None
-        if backend == "serial"
-        else ParallelConfig(backend=backend, workers=workers)
-    )
-    return VideoScheduler(
-        topo, catalog, parallel=parallel, obs=obs
-    ).solve(batch)
+    return VideoScheduler(topo, catalog, obs=obs).solve(batch)
 
 
 class TestBitIdenticalSchedules:
@@ -63,97 +54,32 @@ class TestBitIdenticalSchedules:
         assert observed.resolution.victims == plain.resolution.victims
 
 
-class TestCrossBackendDeterminism:
-    @pytest.fixture(scope="class")
-    def runs(self, env):
-        out = {}
-        for backend in ("serial", "thread", "process"):
+class TestReplayDeterminism:
+    def test_deterministic_families_and_span_counts_replay(self, env):
+        runs = []
+        for _ in range(2):
             obs = Observability.on()
-            out[backend] = (_solve(env, obs=obs, backend=backend), obs)
-        return out
-
-    def test_schedules_identical(self, runs):
-        serial = runs["serial"][0].schedule
-        assert runs["thread"][0].schedule == serial
-        assert runs["process"][0].schedule == serial
-
-    def test_deterministic_metric_families_identical(self, runs):
-        snaps = {
-            backend: obs.metrics.snapshot(deterministic_only=True)
-            for backend, (_, obs) in runs.items()
-        }
-        assert snaps["thread"] == snaps["serial"]
-        assert snaps["process"] == snaps["serial"]
-
-    def test_histograms_bucket_exact_across_backends(self, runs):
-        for backend in ("thread", "process"):
-            serial = runs["serial"][1].metrics.snapshot()
-            other = runs[backend][1].metrics.snapshot()
-            assert (
-                other["vor_requests_per_video"]["values"]
-                == serial["vor_requests_per_video"]["values"]
-            )
-
-    def test_span_counts_identical(self, runs):
-        counts = {
-            backend: obs.tracer.counts() for backend, (_, obs) in runs.items()
-        }
-        for backend in ("thread", "process"):
-            assert (
-                counts[backend]["ivsp.video"] == counts["serial"]["ivsp.video"]
-            )
-            assert counts[backend]["sorp"] == counts["serial"]["sorp"]
-            assert (
-                counts[backend]["sorp.round"] == counts["serial"]["sorp.round"]
-            )
-
-    def test_last_gauges_identical_across_backends(self, runs):
-        # vor_schedule_cost_dollars is a mode="last" gauge set by the
-        # coordinating facade after the shard merges; the Gauge "last"
-        # contract (last touched shard in deterministic shard order)
-        # makes its value backend-invariant
-        def fam(obs):
-            return obs.metrics.snapshot()["vor_schedule_cost_dollars"]
-
-        serial = fam(runs["serial"][1])
-        assert serial["values"]  # the facade populated it
-        assert fam(runs["thread"][1]) == serial
-        assert fam(runs["process"][1]) == serial
-
-    def test_cache_eval_totals_deterministic(self, runs):
-        # hit/miss splits vary with worker layout, but hits+misses per
-        # (cache, phase) counts Ψ evaluations and must match exactly
-        def totals(obs):
-            snap = obs.metrics.snapshot()
-            return snap["vor_psi_evaluations_total"]["values"]
-
-        serial = totals(runs["serial"][1])
-        assert totals(runs["thread"][1]) == serial
-        assert totals(runs["process"][1]) == serial
+            runs.append((_solve(env, obs=obs), obs))
+        (first, obs_a), (again, obs_b) = runs
+        assert again.schedule == first.schedule
+        assert obs_b.metrics.snapshot(
+            deterministic_only=True
+        ) == obs_a.metrics.snapshot(deterministic_only=True)
+        assert obs_b.tracer.counts() == obs_a.tracer.counts()
 
 
-class TestShardStats:
-    def test_thread_shard_stats_sum_to_total(self, env):
-        topo, catalog, batch = env
-        engine = ParallelIndividualScheduler(
-            CostModel(topo, catalog),
-            ParallelConfig(backend="thread", workers=2),
-        )
-        result = engine.run(batch, catalog)
-        assert len(result.shard_stats) > 1
-        assert sum(s.hits for s in result.shard_stats) == result.cache_stats.hits
-        assert (
-            sum(s.misses for s in result.shard_stats)
-            == result.cache_stats.misses
-        )
-
-    def test_serial_run_reports_one_shard(self, env):
-        topo, catalog, batch = env
-        result = ParallelIndividualScheduler(CostModel(topo, catalog)).run(
-            batch, catalog
-        )
-        assert result.shard_stats == (result.cache_stats,)
-        assert result.cache_stats.lookups > 0
+class TestCacheAccounting:
+    def test_solve_counters_match_phase_metrics(self, env):
+        # one counter delta around the solve covers every phase's lookups
+        obs = Observability.on()
+        result = _solve(env, obs=obs)
+        values = obs.metrics.snapshot()["vor_psi_evaluations_total"]["values"]
+        by_phase: dict[str, int] = {}
+        for v in values:
+            phase = v["labels"]["phase"]
+            by_phase[phase] = by_phase.get(phase, 0) + v["value"]
+        assert by_phase["ivsp"] > 0
+        assert sum(by_phase.values()) == result.cache_stats.lookups
 
 
 class TestSpanTaxonomy:

@@ -2,9 +2,7 @@
 
 The acceptance drill from the replication work: on a two-warehouse chain
 with full-copy replicas, losing one warehouse must *save* requests that
-the paper's single-warehouse topology inevitably loses, and the recovery
-outcome must be bit-identical across the serial / thread / process
-Phase-1 backends.
+the paper's single-warehouse topology inevitably loses.
 """
 
 from __future__ import annotations
@@ -17,7 +15,6 @@ from repro import (
     FaultKind,
     FaultPlan,
     FaultSpec,
-    ParallelConfig,
     ReplicaMap,
     Request,
     RequestBatch,
@@ -27,8 +24,6 @@ from repro import (
 from repro.catalog.catalog import VideoCatalog
 from repro.catalog.video import VideoFile
 from repro.sim import validate_schedule
-
-BACKENDS = ("serial", "thread", "process")
 
 
 def _two_warehouse_topology() -> Topology:
@@ -194,72 +189,6 @@ class TestSurvivability:
         assert rec.resolution is None
 
 
-class TestCrossBackendDeterminism:
-    def test_recovery_bit_identical_across_backends(self, catalog, batch):
-        topo = _two_warehouse_topology()
-        sched = VideoScheduler(
-            topo, catalog, replicas=ReplicaMap.full_copy(topo, catalog)
-        )
-        baseline = sched.solve(batch)
-        results = {}
-        for backend in BACKENDS:
-            cs = ContingencyScheduler(
-                sched.cost_model,
-                parallel=ParallelConfig(
-                    backend=backend, workers=2, min_videos=0
-                ),
-            )
-            results[backend] = cs.recover(
-                baseline.schedule, _loss("VW1"), batch=batch
-            )
-        serial = results["serial"]
-        for backend in ("thread", "process"):
-            rec = results[backend]
-            assert rec.saved == serial.saved
-            assert rec.lost == serial.lost
-            # exact float equality: the recovery must be bit-identical
-            assert rec.cost_after == serial.cost_after
-            assert _canonical(rec.schedule) == _canonical(serial.schedule)
-
-    def test_larger_drill_bit_identical(self, catalog):
-        """More videos than workers, so work actually fans out."""
-        videos = [
-            VideoFile(f"x{i}", size=50.0 + i, playback=10.0)
-            for i in range(6)
-        ]
-        catalog = VideoCatalog(videos)
-        topo = _two_warehouse_topology()
-        batch = RequestBatch(
-            [
-                Request(float(i), f"x{i % 6}", f"u{i}", ("IS1", "IS2")[i % 2])
-                for i in range(12)
-            ]
-        )
-        sched = VideoScheduler(
-            topo, catalog, replicas=ReplicaMap.full_copy(topo, catalog)
-        )
-        baseline = sched.solve(batch)
-        canonical = None
-        for backend in BACKENDS:
-            cs = ContingencyScheduler(
-                sched.cost_model,
-                parallel=ParallelConfig(
-                    backend=backend, workers=2, min_videos=0
-                ),
-            )
-            rec = cs.recover(baseline.schedule, _loss("VW2"), batch=batch)
-            snapshot = (
-                rec.saved,
-                rec.lost,
-                rec.cost_after,
-                _canonical(rec.schedule),
-            )
-            if canonical is None:
-                canonical = snapshot
-            else:
-                assert snapshot == canonical, backend
-
-
 def _masked(topo: Topology, *down: str) -> Topology:
     from repro.faults import masked_topology
 
@@ -268,29 +197,3 @@ def _masked(topo: Topology, *down: str) -> Topology:
         seed=0,
     )
     return masked_topology(topo, plan)
-
-
-def _canonical(schedule):
-    """Order-independent, exact snapshot of a schedule's contents."""
-    files = []
-    for fs in sorted(schedule, key=lambda f: f.video_id):
-        files.append(
-            (
-                fs.video_id,
-                tuple(
-                    (d.route, d.start_time, d.request.user_id)
-                    for d in sorted(
-                        fs.deliveries,
-                        key=lambda d: (d.start_time, d.request.user_id),
-                    )
-                ),
-                tuple(
-                    (c.location, c.source, c.t_start, c.t_last, c.service_list)
-                    for c in sorted(
-                        fs.residencies,
-                        key=lambda c: (c.location, c.t_start),
-                    )
-                ),
-            )
-        )
-    return tuple(files)

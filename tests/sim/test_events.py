@@ -65,7 +65,7 @@ class TestTieBreakContract:
 
     This total order is part of the replay contract -- fault injection and
     contingency re-scheduling rely on traces being byte-stable across runs
-    and Phase-1 backends -- so these are regression tests, not examples.
+    -- so these are regression tests, not examples.
     """
 
     def test_kind_priorities(self):

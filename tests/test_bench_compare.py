@@ -36,9 +36,7 @@ class TestCompareReports:
 
     def test_timing_changes_do_not_gate(self, bench, baseline):
         current = json.loads(json.dumps(baseline))
-        for row in current["backends"]:
-            row["wall_time_seconds"] *= 100
-            row["speedup"] /= 100
+        current["phase1"]["wall_time_seconds"] *= 100
         current["uncached"]["wall_time_seconds"] *= 100
         assert bench.compare_reports(baseline, current) == []
 
