@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from repro.catalog.catalog import VideoCatalog
 from repro.core.schedule import ResidencyInfo, Schedule
 from repro.core.spacefunc import UsageTimeline
+from repro.sim.loads import reserved_profiles
 from repro.topology.graph import Topology
 
 
@@ -65,10 +66,8 @@ def storage_usage(
     schedule: Schedule, catalog: VideoCatalog, location: str
 ) -> UsageTimeline:
     """Summed reserved-space timeline of all residencies at ``location``."""
-    profiles = [
-        c.profile(catalog[c.video_id]) for c in schedule.residencies_at(location)
-    ]
-    return UsageTimeline(profiles)
+    group = reserved_profiles(schedule, catalog).get(location, ())
+    return UsageTimeline(p for _, p in group)
 
 
 def detect_overflows(
@@ -90,25 +89,19 @@ def detect_overflows(
     residencies can be victimized.
     """
     overflows: list[OverflowSituation] = []
-    residencies_by_loc: dict[str, list[ResidencyInfo]] = {}
-    for c in schedule.residencies:
-        residencies_by_loc.setdefault(c.location, []).append(c)
+    by_loc = reserved_profiles(schedule, catalog)
     background = background or {}
     for spec in topology.storages:
-        residencies = residencies_by_loc.get(spec.name)
-        if not residencies:
+        group = by_loc.get(spec.name)
+        if not group:
             continue
-        profiles = [c.profile(catalog[c.video_id]) for c in residencies]
+        profiles = [p for _, p in group]
         profiles.extend(background.get(spec.name, ()))
         timeline = UsageTimeline(profiles)
         if timeline.peak <= spec.capacity:
             continue
         for (t0, t1) in timeline.intervals_above(spec.capacity):
-            members = tuple(
-                c
-                for c in residencies
-                if c.profile(catalog[c.video_id]).positive_in(t0, t1)
-            )
+            members = tuple(c for c, p in group if p.positive_in(t0, t1))
             overflows.append(
                 OverflowSituation(
                     location=spec.name,
@@ -128,9 +121,10 @@ def total_excess(schedule: Schedule, catalog: VideoCatalog, topology: Topology) 
 
     SORP's monotone progress measure: zero iff the schedule is feasible.
     """
+    by_loc = reserved_profiles(schedule, catalog)
     total = 0.0
     for spec in topology.storages:
-        timeline = storage_usage(schedule, catalog, spec.name)
+        timeline = UsageTimeline(p for _, p in by_loc.get(spec.name, ()))
         total += timeline.integral_above(spec.capacity)
     return total
 

@@ -8,10 +8,12 @@ consumed it):
 
 * :mod:`repro.sim.events`  -- time-ordered event queue primitives,
 * :mod:`repro.sim.fluid`   -- physical (fluid) cache-occupancy profiles,
+* :mod:`repro.sim.loads`   -- per-storage reserved and per-link bandwidth
+  profiles of a schedule, grouped once for every consumer,
 * :mod:`repro.sim.engine`  -- the event-driven engine producing an execution
-  trace and per-resource peaks,
-* :mod:`repro.sim.validate` -- feasibility checks: request coverage,
-  causality, storage capacity, link bandwidth.
+  trace, per-resource peaks and degraded-mode fault replays,
+* :mod:`repro.sim.validate` -- feasibility checks without replay: request
+  coverage, causality, storage capacity, link bandwidth.
 
 A notable modelling fact surfaced here: for *short* residencies the paper's
 Eq. 6 reserved-space function is slightly optimistic against fluid physics

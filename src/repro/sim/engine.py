@@ -9,8 +9,12 @@ events, replays them chronologically, and aggregates per-resource usage:
   of its route at the video's bandwidth for one playback length),
 * an execution trace (the ordered event list) for inspection and reporting.
 
-The engine observes; it does not judge.  Feasibility checks live in
-:mod:`repro.sim.validate`, which consumes the engine's report.
+The engine observes; it does not judge.  It serves execution traces (CLI
+``simulate``), fluid-occupancy curves and degraded-mode fault replay
+(:func:`repro.faults.report.build_degraded_report`).  Feasibility checks
+live in :mod:`repro.sim.validate`, which reads the same load profiles
+(:mod:`repro.sim.loads`) directly and never replays a schedule unless
+asked for a fault replay.
 """
 
 from __future__ import annotations
@@ -22,10 +26,11 @@ from typing import TYPE_CHECKING
 from repro.catalog.catalog import VideoCatalog
 from repro.core.costmodel import CostModel
 from repro.core.schedule import Schedule
-from repro.core.spacefunc import SpaceProfile, UsageTimeline, LinearSegment
+from repro.core.spacefunc import SpaceProfile, UsageTimeline
 from repro.obs import NULL_OBS, Observability, RunTelemetry
 from repro.sim.events import Event, EventKind, EventQueue
 from repro.sim.fluid import fluid_occupancy_profile
+from repro.sim.loads import link_profiles, reserved_profiles
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (faults -> sim)
     from repro.faults.plan import FaultPlan
@@ -148,7 +153,6 @@ class SimulationEngine:
     ) -> SimulationReport:
         report = SimulationReport()
         queue = EventQueue()
-        link_profiles: dict[tuple[str, str], list[SpaceProfile]] = {}
 
         if faults is not None:
             for f in faults:
@@ -166,85 +170,47 @@ class SimulationEngine:
             video = self._catalog[fs.video_id]
             for d in fs.deliveries:
                 t0, t1 = d.start_time, d.start_time + video.playback
-                queue.push(
-                    t0,
-                    EventKind.STREAM_START,
-                    {"video": fs.video_id, "route": d.route},
-                )
-                queue.push(
-                    t1, EventKind.STREAM_END, {"video": fs.video_id, "route": d.route}
-                )
-                queue.push(
-                    t0,
-                    EventKind.SERVICE_START,
-                    {"video": fs.video_id, "user": d.request.user_id},
-                )
-                queue.push(
-                    t1,
-                    EventKind.SERVICE_END,
-                    {"video": fs.video_id, "user": d.request.user_id},
-                )
+                stream = {"video": fs.video_id, "route": d.route}
+                service = {"video": fs.video_id, "user": d.request.user_id}
+                queue.push(t0, EventKind.STREAM_START, stream)
+                queue.push(t1, EventKind.STREAM_END, stream)
+                queue.push(t0, EventKind.SERVICE_START, service)
+                queue.push(t1, EventKind.SERVICE_END, service)
                 report.n_streams += 1
                 report.n_services += 1
-                for a, b in zip(d.route, d.route[1:]):
-                    key = (a, b) if a <= b else (b, a)
-                    link_profiles.setdefault(key, []).append(
-                        SpaceProfile(
-                            (
-                                LinearSegment(
-                                    t0, t1, video.bandwidth, video.bandwidth
-                                ),
-                            )
-                        )
-                    )
             for c in fs.residencies:
-                queue.push(
-                    c.t_start,
-                    EventKind.CACHE_OPEN,
-                    {"video": fs.video_id, "location": c.location},
-                )
-                queue.push(
-                    c.t_last,
-                    EventKind.CACHE_LAST_SERVICE,
-                    {"video": fs.video_id, "location": c.location},
-                )
-                queue.push(
-                    c.t_last + video.playback,
-                    EventKind.CACHE_RELEASE,
-                    {"video": fs.video_id, "location": c.location},
-                )
+                cache = {"video": fs.video_id, "location": c.location}
+                queue.push(c.t_start, EventKind.CACHE_OPEN, cache)
+                queue.push(c.t_last, EventKind.CACHE_LAST_SERVICE, cache)
+                queue.push(c.t_last + video.playback, EventKind.CACHE_RELEASE, cache)
                 report.n_residencies += 1
 
         report.trace = queue.drain()
 
-        # aggregate storage occupancy under both models
-        by_loc: dict[str, tuple[list[SpaceProfile], list[SpaceProfile]]] = {}
-        for fs in schedule:
-            video = self._catalog[fs.video_id]
-            for c in fs.residencies:
-                fluid_p = fluid_occupancy_profile(
-                    video.size, video.playback, c.t_start, c.t_last
-                )
-                reserved_p = c.profile(video)
-                fl, rs = by_loc.setdefault(c.location, ([], []))
-                fl.append(fluid_p)
-                rs.append(reserved_p)
+        # storage occupancy under both models
+        by_loc = reserved_profiles(schedule, self._catalog)
         for spec in self._topo.storages:
-            fl, rs = by_loc.get(spec.name, ([], []))
+            group = by_loc.get(spec.name, ())
             report.storages[spec.name] = StorageLoad(
                 location=spec.name,
-                fluid=UsageTimeline(fl),
-                reserved=UsageTimeline(rs),
+                fluid=UsageTimeline(self._fluid_profile(c) for c, _ in group),
+                reserved=UsageTimeline(p for _, p in group),
                 capacity=spec.capacity,
             )
 
-        for key, profiles in link_profiles.items():
+        for key, profiles in link_profiles(schedule, self._catalog).items():
             report.links[key] = LinkLoad(
                 edge=key,
                 timeline=UsageTimeline(profiles),
                 capacity=self._topo.edge(*key).bandwidth,
             )
         return report
+
+    def _fluid_profile(self, c) -> SpaceProfile:
+        video = self._catalog[c.video_id]
+        return fluid_occupancy_profile(
+            video.size, video.playback, c.t_start, c.t_last
+        )
 
     def _record_metrics(self, report: SimulationReport) -> None:
         metrics = self._obs.metrics

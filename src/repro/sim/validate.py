@@ -1,8 +1,10 @@
 """Feasibility validation of service schedules.
 
-``validate_schedule`` exercises a schedule end-to-end against the request
-batch it is supposed to serve and returns a list of :class:`Violation`
-records (empty = feasible):
+``validate_schedule`` checks a schedule against the request batch it is
+supposed to serve and returns a list of :class:`Violation` records (empty =
+feasible).  Every check is a direct pass over the schedule -- the storage
+and link checks sum load profiles grouped by :mod:`repro.sim.loads` -- so
+no event simulation runs:
 
 * **coverage** -- every request is served by exactly one delivery at its
   start time, ending at the user's local storage;
@@ -11,10 +13,11 @@ records (empty = feasible):
   last-service time covers it; every residency's filling source is a node
   that plausibly streamed the file (warehouse, or a node with an earlier or
   simultaneous copy);
-* **storage capacity** -- the Eq. 6 reserved usage stays within capacity at
-  every storage (the scheduler's own model);
+* **storage capacity** -- the summed Eq. 6 reserved usage stays within
+  capacity at every storage (the scheduler's own model, paper Sec. 4.1);
 * **link bandwidth** -- concurrent streams on a link stay within its
-  bandwidth, when finite (the base paper leaves links uncapacitated; the
+  bandwidth, checked only on finite-bandwidth links (the base paper leaves
+  links uncapacitated, so on its topology nothing is summed; the
   bandwidth extension uses this check);
 * **replica coverage** -- with a :class:`~repro.replication.ReplicaMap`
   (passed explicitly or carried by the cost model), every warehouse-sourced
@@ -22,9 +25,9 @@ records (empty = feasible):
   video: a copy cannot be served from a site that never held it.
 
 With ``faults=`` (a :class:`~repro.faults.plan.FaultPlan`), the schedule is
-additionally replayed in degraded mode and every dropped/late service,
-stranded residency, saturated link and shrunk-storage overflow becomes a
-``fault-*`` violation (see :func:`fault_violations`).
+additionally replayed in degraded mode by the event engine, and every
+dropped/late service, stranded residency, saturated link and shrunk-storage
+overflow becomes a ``fault-*`` violation (see :func:`fault_violations`).
 """
 
 from __future__ import annotations
@@ -33,10 +36,10 @@ from dataclasses import dataclass
 
 from repro.core.costmodel import CostModel
 from repro.core.schedule import Schedule
-from repro.core.spacefunc import EPS
+from repro.core.spacefunc import EPS, UsageTimeline
 from repro.errors import SimulationError
 from repro.obs import NULL_OBS, Observability
-from repro.sim.engine import SimulationEngine
+from repro.sim.loads import link_profiles, reserved_profiles
 from repro.workload.requests import RequestBatch
 
 
@@ -329,17 +332,23 @@ def _check_causality(
 
 
 def _check_capacity(schedule: Schedule, cost_model: CostModel) -> list[Violation]:
+    """Summed Eq. 6 reservations within capacity, storages in topology order."""
     out: list[Violation] = []
-    report = SimulationEngine(cost_model).run(schedule)
-    for loc, load in report.storages.items():
-        slack = load.capacity + EPS + 1e-9 * max(load.capacity, 1.0)
-        if load.reserved_peak > slack:
-            intervals = load.reserved.intervals_above(load.capacity)
+    by_loc = reserved_profiles(schedule, cost_model.catalog)
+    for spec in cost_model.topology.storages:
+        group = by_loc.get(spec.name)
+        if not group:
+            continue  # an idle storage holds nothing
+        reserved = UsageTimeline(p for _, p in group)
+        peak, capacity = reserved.peak, spec.capacity
+        slack = capacity + EPS + 1e-9 * max(capacity, 1.0)
+        if peak > slack:
+            intervals = reserved.intervals_above(capacity)
             out.append(
                 Violation(
                     "capacity",
-                    f"{loc}: reserved usage peaks at {load.reserved_peak:g} > "
-                    f"capacity {load.capacity:g} over {len(intervals)} "
+                    f"{spec.name}: reserved usage peaks at {peak:g} > "
+                    f"capacity {capacity:g} over {len(intervals)} "
                     "interval(s)",
                 )
             )
@@ -347,18 +356,26 @@ def _check_capacity(schedule: Schedule, cost_model: CostModel) -> list[Violation
 
 
 def _check_links(schedule: Schedule, cost_model: CostModel) -> list[Violation]:
+    """Concurrent streams within bandwidth on every finite-bandwidth link."""
     out: list[Violation] = []
-    report = SimulationEngine(cost_model).run(schedule)
-    for key, load in report.links.items():
-        if load.capacity == float("inf"):
-            continue
-        slack = load.capacity * (1.0 + 1e-9) + EPS
-        if load.peak > slack:
+    bandwidth = {
+        e.key: e.bandwidth
+        for e in cost_model.topology.edges
+        if e.bandwidth != float("inf")
+    }
+    if not bandwidth:
+        return out  # the paper's links are uncapacitated
+    by_edge = link_profiles(schedule, cost_model.catalog, only=bandwidth)
+    for key, profiles in by_edge.items():
+        peak = UsageTimeline(profiles).peak
+        capacity = bandwidth[key]
+        slack = capacity * (1.0 + 1e-9) + EPS
+        if peak > slack:
             out.append(
                 Violation(
                     "bandwidth",
-                    f"link {key}: concurrent bandwidth peaks at {load.peak:g} "
-                    f"> capacity {load.capacity:g}",
+                    f"link {key}: concurrent bandwidth peaks at {peak:g} "
+                    f"> capacity {capacity:g}",
                 )
             )
     return out

@@ -1,5 +1,7 @@
 """Tests for the event queue primitives."""
 
+import random
+
 import pytest
 
 from repro.errors import SimulationError
@@ -130,3 +132,29 @@ class TestTieBreakContract:
         ]
         events = [q.push(t, k) for t, k in pushes]
         assert q.drain() == sorted(events, key=lambda e: e.sort_key)
+
+
+class TestDrainMatchesPopOrder:
+    """Heavy same-time ties across every kind: drain == pop == sorted."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_drain_equals_pops_equals_sort(self, seed):
+        rng = random.Random(seed)
+        kinds = list(EventKind)
+        pushes = [
+            (float(rng.randrange(4)), rng.choice(kinds), i) for i in range(200)
+        ]
+
+        def fill():
+            q = EventQueue()
+            return q, [q.push(t, k, p) for t, k, p in pushes]
+
+        q, events = fill()
+        drained = q.drain()
+        q, _ = fill()
+        popped = [q.pop() for _ in range(len(pushes))]
+        expected = sorted(
+            events, key=lambda e: (e.time, kind_priority(e.kind), e.seq)
+        )
+        assert drained == popped == expected
+        assert not q
