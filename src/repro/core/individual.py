@@ -329,14 +329,17 @@ class IndividualScheduler:
             )
             if best is None or cand.sort_key < best.sort_key:
                 best = cand
+        # Caches are priced before their capacity is checked, and only a
+        # cache that would beat the current best asks the constraints: one
+        # that cannot win is discarded whether it fits or not, so the choice
+        # is the same as checking every cache (ties keep the first, by the
+        # strict ``<``).
+        constraints = self._constraints
         for idx, c in enumerate(residencies):
-            if c.t_start > req.start_time:
+            if c.t_start > t0:
                 continue  # cache not yet filled when the service starts
-            extended = c.extended(req.start_time, req.user_id)
-            if self._constraints is not None and not self._constraints.allows(
-                extended, video, replacing=c
-            ):
-                continue
+            if c.t_last > t0:
+                raise ScheduleError(f"cannot shrink residency: {t0} < {c.t_last}")
             try:
                 route = self._route_policy.select(
                     c.location, req.local_storage, t0, t1, video.bandwidth
@@ -345,17 +348,25 @@ class IndividualScheduler:
                 continue
             if route is None:
                 continue
+            network_cost = volume * route.rate
             ext_cost = self._cm.residency_cost_for(
-                video.video_id, c.location, extended.t_start, extended.t_last
+                video.video_id, c.location, c.t_start, t0
             ) - self._cm.residency_cost_for(
                 video.video_id, c.location, c.t_start, c.t_last
             )
-            cand = _Candidate(
-                volume * route.rate + ext_cost, route.hops, 0, c.location,
-                route, idx, network_cost=volume * route.rate,
+            cost = network_cost + ext_cost
+            if best is not None and not (
+                (cost, route.hops, 0, c.location) < best.sort_key
+            ):
+                continue
+            if constraints is not None and not constraints.allows(
+                c.extended(t0, req.user_id), video, replacing=c
+            ):
+                continue
+            best = _Candidate(
+                cost, route.hops, 0, c.location, route, idx,
+                network_cost=network_cost,
             )
-            if best is None or cand.sort_key < best.sort_key:
-                best = cand
         if best is None:
             # with the default route policy on a healthy topology some home
             # warehouse is always feasible; a restrictive policy (e.g.

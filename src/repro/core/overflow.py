@@ -11,6 +11,7 @@ profile is positive somewhere inside the interval.
 
 from __future__ import annotations
 
+from collections.abc import Container
 from dataclasses import dataclass
 
 from repro.catalog.catalog import VideoCatalog
@@ -76,11 +77,14 @@ def detect_overflows(
     topology: Topology,
     *,
     background=None,
+    locations: Container[str] | None = None,
 ) -> list[OverflowSituation]:
     """All storage overflow situations in an integrated schedule.
 
     Returns one :class:`OverflowSituation` per maximal violation interval per
-    storage, ordered by (location, interval start).
+    storage, ordered by (location, interval start).  ``locations`` limits
+    the sweep to those storages (SORP re-sweeps only where a victim moved);
+    the situations at those storages are the ones a full sweep reports there.
 
     ``background`` is an optional ``{location: [SpaceProfile, ...]}`` of
     space committed outside this schedule (e.g. residency tails carried over
@@ -89,7 +93,7 @@ def detect_overflows(
     residencies can be victimized.
     """
     overflows: list[OverflowSituation] = []
-    by_loc = reserved_profiles(schedule, catalog)
+    by_loc = reserved_profiles(schedule, catalog, only=locations)
     background = background or {}
     for spec in topology.storages:
         group = by_loc.get(spec.name)

@@ -89,6 +89,11 @@ class AvailabilityOracle:
     excluded; answers whether a candidate residency profile fits in the
     remaining capacity at a location.  Timelines are built lazily per
     location because a reschedule usually touches only a few storages.
+
+    ``queries``, when given, logs ``(location, profile, answer)`` for every
+    query that read a timeline -- everything the asker learned about the
+    schedule.  SORP replays such a log to tell whether a cached trial
+    still holds after a commit.
     """
 
     def __init__(
@@ -98,6 +103,7 @@ class AvailabilityOracle:
         topology: Topology,
         exclude_video: str,
         background=None,
+        queries: list[tuple[str, SpaceProfile, bool]] | None = None,
     ):
         self._schedule = schedule
         self._catalog = catalog
@@ -105,6 +111,7 @@ class AvailabilityOracle:
         self._exclude = exclude_video
         self._background = background or {}
         self._timelines: dict[str, UsageTimeline] = {}
+        self._queries = queries
 
     def timeline(self, location: str) -> UsageTimeline:
         tl = self._timelines.get(location)
@@ -123,7 +130,10 @@ class AvailabilityOracle:
         capacity = self._topo.capacity(location)
         if profile.peak > capacity + EPS:
             return False
-        return fits_under(self.timeline(location), profile, capacity)
+        answer = fits_under(self.timeline(location), profile, capacity)
+        if self._queries is not None:
+            self._queries.append((location, profile, answer))
+        return answer
 
 
 @dataclass
@@ -184,6 +194,7 @@ class RejectiveGreedyScheduler:
         forbidden: list[tuple[str, tuple[float, float]]],
         background=None,
         initial_residencies: tuple[ResidencyInfo, ...] = (),
+        queries: list[tuple[str, SpaceProfile, bool]] | None = None,
     ) -> FileSchedule:
         """New ``S_i`` for ``video`` honouring capacity + forbidden windows.
 
@@ -192,6 +203,9 @@ class RejectiveGreedyScheduler:
         replaced wholesale).  ``background`` adds committed out-of-schedule
         usage (rolling cycles); ``initial_residencies`` re-seeds the
         victim's committed carryover caches, which a rebuild must keep.
+        ``queries`` receives the capacity oracle's log (see
+        :class:`AvailabilityOracle`): the rebuild reads ``schedule`` only
+        through those answers.
         """
         oracle = AvailabilityOracle(
             schedule,
@@ -199,6 +213,7 @@ class RejectiveGreedyScheduler:
             self._cm.topology,
             video.video_id,
             background=background,
+            queries=queries,
         )
         constraints = ResidencyConstraints(forbidden=list(forbidden), oracle=oracle)
         greedy = IndividualScheduler(self._cm, constraints)

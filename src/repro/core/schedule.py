@@ -239,7 +239,13 @@ class Schedule:
         return [c for fs in self._files.values() for c in fs.residencies]
 
     def residencies_at(self, location: str) -> list[ResidencyInfo]:
-        return [c for c in self.residencies if c.location == location]
+        """Residencies at ``location``, in :attr:`residencies` order."""
+        return [
+            c
+            for fs in self._files.values()
+            for c in fs.residencies
+            if c.location == location
+        ]
 
     def pruned(self) -> "Schedule":
         """Copy with unused zero-extent cache candidates removed."""

@@ -9,7 +9,27 @@ Termination: the rejective greedy (a) never lets the victim occupy the
 overflowing ``(Δt, IS_j)`` and (b) only places residencies that fit in the
 currently available space, so each commit strictly reduces the total
 over-capacity space-time and never creates a new overflow.  A generous
-iteration cap guards against pathological numerical edge cases.
+iteration cap guards against pathological numerical edge cases; hitting it
+raises :class:`~repro.errors.OverflowResolutionError`.
+
+Incremental rounds.  A commit changes space only at the storages where the
+victim had or now has a residency (the *touched* storages), and the loop
+exploits that without changing a single decision:
+
+* overflows are re-detected only at the touched storages; every other
+  storage keeps its :class:`OverflowSituation` as it was;
+* trial reschedules live in a cache for the whole call, keyed by
+  ``(video, overflow location, overflow interval)``.  A trial reads the
+  working schedule only through the capacity oracle's ``fits`` answers,
+  which it logs.  After a commit the victim's own trials are dropped;
+  another trial is kept as is when it asked nothing at a touched storage,
+  and otherwise only if re-asking those queries against the new schedule
+  gives the same answers (timelines at untouched storages are summed from
+  the same profiles in the same order, so their answers cannot change).
+
+Heat, overhead and tie-breaks are still computed every round from the
+current overflows, so the victims, the schedule and Ψ are those of
+re-running every trial every round.
 """
 
 from __future__ import annotations
@@ -21,8 +41,9 @@ from dataclasses import dataclass, field
 from repro.core.costmodel import CacheStats, CostModel, record_cache_metrics
 from repro.core.heat import HeatMetric, compute_heat
 from repro.core.overflow import OverflowSituation, detect_overflows
-from repro.core.rejective import RejectiveGreedyScheduler
+from repro.core.rejective import AvailabilityOracle, RejectiveGreedyScheduler
 from repro.core.schedule import FileSchedule, Schedule
+from repro.core.spacefunc import SpaceProfile
 from repro.errors import OverflowResolutionError
 from repro.obs import DOLLAR_BUCKETS, NULL_OBS, Observability
 from repro.workload.requests import RequestBatch
@@ -54,6 +75,11 @@ class ResolutionStats:
     #: that determinism checks compare the *decisions*, not the cache
     #: temperature they were computed under.
     cache_stats: CacheStats = field(default_factory=CacheStats, compare=False)
+    #: Rejective-greedy reschedules run, and victim trials answered from
+    #: the trial cache instead.  Work counters, excluded from equality
+    #: like ``cache_stats``.
+    trials: int = field(default=0, compare=False)
+    trials_reused: int = field(default=0, compare=False)
 
     @property
     def had_overflow(self) -> bool:
@@ -98,9 +124,10 @@ def resolve_overflows(
         committed: Optional ``{video_id: (ResidencyInfo, ...)}`` of carryover
             residencies a victim rebuild must retain (rolling cycles).
         obs: Observability handle; when live, the run records a ``sorp``
-            span, one ``sorp.round`` span per iteration, ``overflow``
-            spans around each detection sweep, and victim/iteration
-            counters.  Defaults to the inert :data:`repro.obs.NULL_OBS`.
+            span, one ``sorp.round`` span per iteration (with its trial
+            reschedules and reused trials), ``overflow`` spans around each
+            detection sweep, and victim/iteration/trial counters.  Defaults
+            to the inert :data:`repro.obs.NULL_OBS`.
 
     Returns:
         ``(feasible_schedule, stats)``.  The input schedule is left intact.
@@ -123,6 +150,7 @@ def resolve_overflows(
     rejective = RejectiveGreedyScheduler(cost_model)
     requests_by_video = batch.by_video()
     committed = committed or {}
+    trials: dict[_TrialKey, _Trial] = {}
 
     with obs.tracer.span("sorp", residencies=len(working.residencies)) as sorp_span:
         with obs.tracer.span("overflow") as detect_span:
@@ -150,6 +178,7 @@ def resolve_overflows(
             with obs.tracer.span(
                 "sorp.round", iteration=stats.iterations, overflows=len(overflows)
             ) as round_span:
+                run_before, reused_before = stats.trials, stats.trials_reused
                 victim = _select_victim(
                     overflows,
                     working,
@@ -159,12 +188,19 @@ def resolve_overflows(
                     metric,
                     background,
                     committed,
+                    trials,
+                    stats,
                 )
                 if victim is None:
                     raise OverflowResolutionError(
                         "no reschedulable member in any overflow set"
                     )
                 heat, overhead, overflow, new_fs = victim
+                touched = {
+                    c.location
+                    for fs in (working.file(new_fs.video_id), new_fs)
+                    for c in fs.residencies
+                }
                 working.set_file(new_fs)
                 stats.victims.append(
                     VictimRecord(
@@ -176,7 +212,10 @@ def resolve_overflows(
                     )
                 )
                 round_span.set(
-                    victim=new_fs.video_id, location=overflow.location
+                    victim=new_fs.video_id,
+                    location=overflow.location,
+                    trials=stats.trials - run_before,
+                    reused=stats.trials_reused - reused_before,
                 )
                 obs.journal.emit(
                     "sorp-placed",
@@ -186,9 +225,20 @@ def resolve_overflows(
                     heat=heat,
                     overhead=overhead,
                 )
+                trials = _still_valid(
+                    trials, new_fs.video_id, touched, working, cost_model, background
+                )
                 with obs.tracer.span("overflow") as detect_span:
-                    overflows = detect_overflows(
-                        working, catalog, topology, background=background
+                    overflows = sorted(
+                        [of for of in overflows if of.location not in touched]
+                        + detect_overflows(
+                            working,
+                            catalog,
+                            topology,
+                            background=background,
+                            locations=touched,
+                        ),
+                        key=lambda of: (of.location, of.interval),
                     )
                     detect_span.set(overflows=len(overflows))
 
@@ -204,6 +254,14 @@ def resolve_overflows(
             "vor_sorp_iterations_total",
             help="SORP victim-selection rounds",
         ).inc(stats.iterations)
+        metrics.counter(
+            "vor_sorp_trial_reschedules_total",
+            help="Rejective-greedy reschedules run as SORP victim trials",
+        ).inc(stats.trials)
+        metrics.counter(
+            "vor_sorp_trials_reused_total",
+            help="SORP victim trials answered from the trial cache",
+        ).inc(stats.trials_reused)
         metrics.counter(
             "vor_overflow_situations_total",
             help="Overflow situations detected on the integrated schedule",
@@ -225,6 +283,24 @@ def resolve_overflows(
     return working, stats
 
 
+#: ``(video id, overflow location, overflow interval)``
+_TrialKey = tuple[str, str, tuple[float, float]]
+
+
+@dataclass
+class _Trial:
+    """One victim trial: the rebuilt file schedule and what it read.
+
+    ``queries`` logs ``(location, profile, answer)`` for every capacity
+    query of the rebuild that read a timeline (see
+    :class:`~repro.core.rejective.AvailabilityOracle`).
+    """
+
+    schedule: FileSchedule
+    cost: float
+    queries: list[tuple[str, SpaceProfile, bool]]
+
+
 def _select_victim(
     overflows: list[OverflowSituation],
     working: Schedule,
@@ -234,9 +310,13 @@ def _select_victim(
     metric: HeatMetric,
     background,
     committed: dict,
+    trials: dict[_TrialKey, _Trial],
+    stats: ResolutionStats,
 ) -> tuple[float, float, OverflowSituation, FileSchedule] | None:
     """Price every (overflow, member) reschedule and return the hottest.
 
+    Trials come from ``trials`` when cached there and are added to it
+    otherwise (counted in ``stats.trials_reused`` / ``stats.trials``).
     Ties break toward the lower overhead, then lexicographic video id, so
     runs are fully deterministic.
     """
@@ -260,28 +340,78 @@ def _select_victim(
                 for s in seeds
             ):
                 continue  # this residency IS the committed carryover itself
-            new_fs = rejective.reschedule(
-                video,
-                requests,
-                working,
-                forbidden=[(of.location, of.interval)],
-                background=background,
-                initial_residencies=tuple(seeds),
-            )
+            trial_key = (c.video_id, of.location, of.interval)
+            trial = trials.get(trial_key)
+            if trial is None:
+                queries: list[tuple[str, SpaceProfile, bool]] = []
+                new_fs = rejective.reschedule(
+                    video,
+                    requests,
+                    working,
+                    forbidden=[(of.location, of.interval)],
+                    background=background,
+                    initial_residencies=tuple(seeds),
+                    queries=queries,
+                )
+                trial = _Trial(new_fs, cost_model.file_cost(new_fs).total, queries)
+                trials[trial_key] = trial
+                stats.trials += 1
+            else:
+                stats.trials_reused += 1
             old_cost = old_costs.get(c.video_id)
             if old_cost is None:
                 old_cost = cost_model.file_cost(working.file(c.video_id)).total
                 old_costs[c.video_id] = old_cost
-            new_cost = cost_model.file_cost(new_fs).total
-            overhead = new_cost - old_cost
+            overhead = trial.cost - old_cost
             heat = compute_heat(metric, c, video, of, overhead)
             if math.isnan(heat):  # pragma: no cover - defensive
                 continue
             key = (heat, -overhead, c.video_id)
             if best_key is None or _key_greater(key, best_key):
                 best_key = key
-                best = (heat, overhead, of, new_fs)
+                best = (heat, overhead, of, trial.schedule)
     return best
+
+
+def _still_valid(
+    trials: dict[_TrialKey, _Trial],
+    victim_id: str,
+    touched: set[str],
+    working: Schedule,
+    cost_model: CostModel,
+    background,
+) -> dict[_TrialKey, _Trial]:
+    """The cached trials that a commit of ``victim_id`` left unchanged.
+
+    A trial survives when no capacity query it logged at a ``touched``
+    storage gets a different answer from the committed ``working``
+    schedule; the victim's own trials are dropped.  One fresh oracle per
+    video serves all of that video's replays.
+    """
+    kept: dict[_TrialKey, _Trial] = {}
+    oracles: dict[str, AvailabilityOracle] = {}
+    for key, trial in trials.items():
+        video_id = key[0]
+        if video_id == victim_id:
+            continue
+        replay = [q for q in trial.queries if q[0] in touched]
+        if replay:
+            oracle = oracles.get(video_id)
+            if oracle is None:
+                oracle = oracles[video_id] = AvailabilityOracle(
+                    working,
+                    cost_model.catalog,
+                    cost_model.topology,
+                    video_id,
+                    background=background,
+                )
+            if any(
+                oracle.fits(location, profile) != answer
+                for location, profile, answer in replay
+            ):
+                continue
+        kept[key] = trial
+    return kept
 
 
 def _key_greater(a: tuple[float, float, str], b: tuple[float, float, str]) -> bool:

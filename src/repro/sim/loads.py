@@ -28,17 +28,24 @@ if TYPE_CHECKING:  # pragma: no cover - annotations only
 
 
 def reserved_profiles(
-    schedule: Schedule, catalog: VideoCatalog
+    schedule: Schedule,
+    catalog: VideoCatalog,
+    *,
+    only: Container[str] | None = None,
 ) -> dict[str, list[tuple[ResidencyInfo, SpaceProfile]]]:
     """``{location: [(residency, Eq. 6 profile), ...]}`` in schedule order.
 
     Locations appear in first-seen order; callers that report per storage
-    walk the topology's storages and look their group up.
+    walk the topology's storages and look their group up.  ``only``
+    restricts the result to the given locations; storages outside it get
+    no profiles at all.
     """
     by_loc: dict[str, list[tuple[ResidencyInfo, SpaceProfile]]] = {}
     for fs in schedule:
         video = catalog[fs.video_id]
         for c in fs.residencies:
+            if only is not None and c.location not in only:
+                continue
             by_loc.setdefault(c.location, []).append((c, c.profile(video)))
     return by_loc
 

@@ -128,6 +128,24 @@ class TestDetectOverflows:
         ofs = detect_overflows(s, catalog, topo)
         assert [o.location for o in ofs] == ["IS1", "IS2"]
 
+    def test_location_sweep_matches_full_sweep(self, env):
+        """Sweeping some storages reports exactly the full sweep's
+        situations there, in the same order."""
+        topo, catalog = env
+        s = _schedule(
+            [
+                ResidencyInfo("a", "IS2", "VW", 0.0, 30.0),
+                ResidencyInfo("b", "IS2", "VW", 0.0, 30.0),
+                ResidencyInfo("a", "IS1", "VW", 0.0, 30.0),
+                ResidencyInfo("b", "IS1", "VW", 0.0, 30.0),
+            ]
+        )
+        full = detect_overflows(s, catalog, topo)
+        for locations in ({"IS1"}, {"IS2"}, {"IS1", "IS2"}, set()):
+            assert detect_overflows(s, catalog, topo, locations=locations) == [
+                o for o in full if o.location in locations
+            ]
+
     def test_single_oversized_residency(self, env):
         """A file bigger than the capacity overflows on its own."""
         topo, catalog = env

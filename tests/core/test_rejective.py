@@ -143,6 +143,22 @@ class TestAvailabilityOracle:
         p = residency_profile(200.0, 10.0, 0.0, 30.0)
         assert not oracle.fits("IS1", p)  # peak 200 > capacity alone
 
+    def test_query_log_holds_timeline_answers_only(self, env):
+        topo, catalog, cm = env
+        fs_b = FileSchedule("b")
+        fs_b.add_residency(ResidencyInfo("b", "IS1", "VW", 0.0, 30.0))
+        log = []
+        oracle = AvailabilityOracle(
+            Schedule([fs_b]), catalog, topo, "a", queries=log
+        )
+        clash = residency_profile(100.0, 10.0, 10.0, 20.0)
+        free = residency_profile(100.0, 10.0, 10.0, 20.0)
+        oversized = residency_profile(200.0, 10.0, 0.0, 30.0)
+        assert not oracle.fits("IS1", clash)
+        assert oracle.fits("IS2", free)
+        assert not oracle.fits("IS1", oversized)  # peak shortcut: not logged
+        assert log == [("IS1", clash, False), ("IS2", free, True)]
+
 
 class TestResidencyConstraints:
     def test_forbidden_interval_blocks(self, env):

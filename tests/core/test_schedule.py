@@ -143,6 +143,9 @@ class TestSchedule:
         assert len(s.deliveries) == 1
         assert len(s.residencies) == 2
         assert len(s.residencies_at("IS1")) == 2
+        assert s.residencies_at("IS1") == [
+            c for c in s.residencies if c.location == "IS1"
+        ]
 
     def test_copy_is_deep_enough(self):
         s = Schedule([FileSchedule("a")])
